@@ -53,12 +53,10 @@
 //! scheduler, which draws from the shared RNG while scheduling, always
 //! plans step 5 serially, but steps 6 and 7 still fan out).
 
-use std::collections::HashMap;
-
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use cs_dht::{DhtId, DhtNetwork, IdSpace};
+use cs_dht::{DhtId, DhtNetwork, IdMap, IdSpace};
 use cs_net::{BandwidthAssigner, MessageSizes, NodeBandwidth, TrafficClass, TrafficCounter};
 #[cfg(feature = "parallel")]
 use cs_obs::WorkerPhase;
@@ -92,6 +90,10 @@ use crate::SegmentId;
 struct NodeIdx(u32);
 
 const INVALID_SLOT: u32 = u32::MAX;
+
+/// The ping assumed for an id that is not alive (as in the id-keyed
+/// implementation).
+const DEFAULT_PING_MS: f64 = 50.0;
 
 /// A peer handle: `DhtId` identity plus a cached arena slot.
 ///
@@ -155,7 +157,7 @@ struct NodeSim {
     spawn_round: u32,
     /// Segments obtained by pre-fetch, pending the §4.3 Case-2
     /// (repeated-data) check. Value = the round they were fetched in.
-    prefetch_tags: HashMap<SegmentId, u32>,
+    prefetch_tags: IdMap<SegmentId, u32>,
     /// Segments received (gossip + pre-fetch) during the previous round;
     /// drives the "supplied little data" neighbour-replacement rule.
     last_inflow: u32,
@@ -173,12 +175,18 @@ struct NodeSim {
 }
 
 /// The dense node store: occupied slots + free list + the single
-/// `DhtId → slot` boundary map.
+/// `DhtId → slot` boundary map, plus a slot-indexed ping column so the
+/// DHT rescue path's latency lookups read one `f64` instead of a whole
+/// `NodeSim`.
 #[derive(Default)]
 struct NodeArena {
     slots: Vec<Option<NodeSim>>,
     free: Vec<u32>,
-    by_id: HashMap<DhtId, u32>,
+    by_id: IdMap<DhtId, u32>,
+    /// `ping[slot]` = the occupant's `ping_ms` (never mutated after
+    /// spawn; rewritten when a slot is reused). Vacant slots keep the
+    /// departed node's value, unreachable through `by_id`.
+    ping: Vec<f64>,
     /// Monotonic birth-stamp counter (see `NodeSim::birth`).
     next_birth: u64,
 }
@@ -188,7 +196,8 @@ impl NodeArena {
         NodeArena {
             slots: Vec::with_capacity(n),
             free: Vec::new(),
-            by_id: HashMap::with_capacity(n),
+            by_id: IdMap::with_capacity_and_hasher(n, Default::default()),
+            ping: Vec::with_capacity(n),
             next_birth: 0,
         }
     }
@@ -205,13 +214,16 @@ impl NodeArena {
         let id = node.id;
         node.birth = self.next_birth;
         self.next_birth += 1;
+        let ping = node.ping_ms;
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(node);
+                self.ping[s as usize] = ping;
                 s
             }
             None => {
                 self.slots.push(Some(node));
+                self.ping.push(ping);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -233,6 +245,12 @@ impl NodeArena {
         self.by_id.get(&id).map(|&s| NodeIdx(s))
     }
 
+    /// The ping of a live node: one id-map probe plus one column read.
+    #[inline]
+    fn ping_of(&self, id: DhtId) -> Option<f64> {
+        self.by_id.get(&id).map(|&s| self.ping[s as usize])
+    }
+
     /// A `PeerRef` for a node that may or may not be alive; dead ids get
     /// an invalid cached slot and resolve to `None` until (unless) the id
     /// comes alive again.
@@ -241,6 +259,21 @@ impl NodeArena {
         PeerRef {
             id,
             slot: self.by_id.get(&id).copied().unwrap_or(INVALID_SLOT),
+        }
+    }
+
+    /// [`Self::make_ref`] and [`Self::ping_of`] from a single probe.
+    #[inline]
+    fn ref_and_ping(&self, id: DhtId) -> (PeerRef, Option<f64>) {
+        match self.by_id.get(&id) {
+            Some(&slot) => (PeerRef { id, slot }, Some(self.ping[slot as usize])),
+            None => (
+                PeerRef {
+                    id,
+                    slot: INVALID_SLOT,
+                },
+                None,
+            ),
         }
     }
 
@@ -1772,7 +1805,7 @@ impl SystemSim {
         //    HashMap used to hold).
         let dht = {
             let nodes = &nodes;
-            let ping = |n: DhtId| nodes.node(nodes.lookup(n).expect("member")).ping_ms;
+            let ping = |n: DhtId| nodes.ping_of(n).expect("member");
             let latency = |a: DhtId, b: DhtId| derive_latency(ping(a), ping(b));
             let mut dht_rng = tree.child("dht");
             DhtNetwork::build(space, &ids, &latency, &mut dht_rng)
@@ -1869,12 +1902,15 @@ impl SystemSim {
             // tags are bounded by the rescue probe depth, so size to
             // twice the policy's horizon (the zero-alloc suite pins
             // this; Legacy's α-window rescue keeps far fewer).
-            prefetch_tags: HashMap::with_capacity(match &config.policy {
-                PolicyKind::Legacy => 64,
-                PolicyKind::Adaptive(ap) => {
-                    64.max(2 * ap.rescue_horizon(config.demand_per_round().max(1)) as usize)
-                }
-            }),
+            prefetch_tags: IdMap::with_capacity_and_hasher(
+                match &config.policy {
+                    PolicyKind::Legacy => 64,
+                    PolicyKind::Adaptive(ap) => {
+                        64.max(2 * ap.rescue_horizon(config.demand_per_round().max(1)) as usize)
+                    }
+                },
+                Default::default(),
+            ),
             last_inflow: 0,
             round_inflow: 0,
             outbound_carry: 0.0,
@@ -2039,6 +2075,18 @@ impl SystemSim {
                 !self.nodes.node(self.order_idx[k as usize]).is_source,
                 "the source is never scheduled"
             );
+        }
+        // Ping column: one entry per slot, and every live slot's entry
+        // is its occupant's ping (a reused slot was rewritten on insert).
+        assert_eq!(self.nodes.ping.len(), self.nodes.slots.len());
+        for (slot, node) in self.nodes.slots.iter().enumerate() {
+            if let Some(node) = node {
+                assert_eq!(
+                    self.nodes.ping[slot].to_bits(),
+                    node.ping_ms.to_bits(),
+                    "slot {slot}: ping column out of sync with its occupant"
+                );
+            }
         }
     }
 
@@ -2362,6 +2410,19 @@ impl SystemSim {
         self.faults.pending.len()
     }
 
+    /// Debug: the ping the DHT/overlay boundary sees for `id` (the
+    /// 50 ms default for ids that are not alive).
+    #[doc(hidden)]
+    pub fn debug_ping_of_id(&self, id: DhtId) -> f64 {
+        self.ping_of_id(id)
+    }
+
+    /// Debug: the arena slot `id` lives in, if it is alive.
+    #[doc(hidden)]
+    pub fn debug_slot_of(&self, id: DhtId) -> Option<u32> {
+        self.nodes.lookup(id).map(|i| i.0)
+    }
+
     /// Apply one workload event between rounds. See [`SystemEvent`] for
     /// the semantics of each variant; membership-changing events rebuild
     /// the deterministic node order immediately, so an [`Self::alive_ids`]
@@ -2515,10 +2576,7 @@ impl SystemSim {
 
     #[inline]
     fn ping_of_id(&self, id: DhtId) -> f64 {
-        self.nodes
-            .lookup(id)
-            .map(|i| self.nodes.node(i).ping_ms)
-            .unwrap_or(50.0)
+        self.nodes.ping_of(id).unwrap_or(DEFAULT_PING_MS)
     }
 
     /// Latency from a live node to a peer handle (dead peers default to a
@@ -2528,7 +2586,7 @@ impl SystemSim {
             .nodes
             .resolve(to)
             .map(|i| self.nodes.node(i).ping_ms)
-            .unwrap_or(50.0);
+            .unwrap_or(DEFAULT_PING_MS);
         derive_latency(self.nodes.node(from).ping_ms, pb)
     }
 
@@ -3746,12 +3804,7 @@ impl SystemSim {
                 let nodes = &self.nodes;
                 let config = &self.config;
                 let spent = &scratch.outbound_spent;
-                let ping = |n: DhtId| {
-                    nodes
-                        .lookup(n)
-                        .map(|i| nodes.node(i).ping_ms)
-                        .unwrap_or(50.0)
-                };
+                let ping = |n: DhtId| nodes.ping_of(n).unwrap_or(DEFAULT_PING_MS);
                 let latency = |a: DhtId, b: DhtId| derive_latency(ping(a), ping(b));
                 let has_backup = |n: DhtId, s: SegmentId| {
                     nodes.lookup(n).is_some_and(|i| nodes.node(i).backup.has(s))
@@ -3803,8 +3856,8 @@ impl SystemSim {
                 for li in 0..scratch.retrieval.located.len() {
                     let l = scratch.retrieval.located[li];
                     if l != requester_id {
-                        let lref = self.nodes.make_ref(l);
-                        let lat = derive_latency(local_ping, self.ping_of_id(l));
+                        let (lref, lping) = self.nodes.ref_and_ping(l);
+                        let lat = derive_latency(local_ping, lping.unwrap_or(DEFAULT_PING_MS));
                         self.nodes.node_mut(idx).overheard.record(lref, lat);
                     }
                 }
@@ -4373,12 +4426,7 @@ impl SystemSim {
             let config = &self.config;
             let spent = &scratch.outbound_spent;
             let dead = &self.faults.dead_until;
-            let ping = |n: DhtId| {
-                nodes
-                    .lookup(n)
-                    .map(|i| nodes.node(i).ping_ms)
-                    .unwrap_or(50.0)
-            };
+            let ping = |n: DhtId| nodes.ping_of(n).unwrap_or(DEFAULT_PING_MS);
             let latency = |a: DhtId, b: DhtId| derive_latency(ping(a), ping(b));
             let has_backup = |n: DhtId, s: SegmentId| {
                 nodes.lookup(n).is_some_and(|i| nodes.node(i).backup.has(s))
@@ -4911,12 +4959,7 @@ impl SystemSim {
         };
         let nodes = &self.nodes;
         let latency = |a: DhtId, b: DhtId| {
-            let ping = |n: DhtId| {
-                nodes
-                    .lookup(n)
-                    .map(|i| nodes.node(i).ping_ms)
-                    .unwrap_or(50.0)
-            };
+            let ping = |n: DhtId| nodes.ping_of(n).unwrap_or(DEFAULT_PING_MS);
             derive_latency(ping(a), ping(b))
         };
         if self.dht.join(id, &latency, rng).is_err() {

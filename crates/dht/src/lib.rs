@@ -9,7 +9,8 @@
 //!
 //! This crate implements:
 //!
-//! * ID-space arithmetic over `N = 2^bits` ([`id`]);
+//! * ID-space arithmetic over `N = 2^bits`, and the deterministic
+//!   integer hasher of the hot id-keyed maps ([`id`]);
 //! * the level-constrained peer table ([`peers`]);
 //! * greedy clockwise routing with hop accounting ([`routing`]) — the
 //!   appendix bound `log N / log(4/3)` is enforced as a property test;
@@ -25,7 +26,7 @@ pub mod peers;
 pub mod placement;
 pub mod routing;
 
-pub use id::{DhtId, IdSpace};
+pub use id::{DhtId, IdHasher, IdMap, IdSpace};
 pub use network::{DhtIdx, DhtNetwork, DhtNodeState, JoinError};
 pub use peers::{DhtPeerEntry, DhtPeerTable};
 pub use placement::{

@@ -12,22 +12,22 @@
 //! list) addressed by [`DhtIdx`] slot handles, mirroring the node arena of
 //! the full-system simulator. Ring membership is a sorted `Vec<DhtId>`
 //! (binary-searched by `responsible_of`/`successor_of`/`predecessor_of`),
-//! and the single `DhtId → DhtIdx` map is consulted only at the overlay
-//! boundary — inside the routing loop every hop moves slot-to-slot through
-//! the slot hints cached in [`DhtPeerEntry`]. Every decision (greedy next
+//! and the single `DhtId → DhtIdx` map (an [`IdMap`], hashed by the
+//! deterministic [`IdHasher`](crate::IdHasher) rather than SipHash) is
+//! consulted only at the overlay boundary — inside the routing loop every
+//! hop moves slot-to-slot through the slot hints cached in
+//! [`DhtPeerEntry`]. Every decision (greedy next
 //! hop, tie-breaks, table replacement, RNG consumption in `build`/`join`)
 //! is keyed on `DhtId` exactly as in the `BTreeMap`-keyed implementation
 //! this replaced, so routes are bit-identical (pinned by
 //! `tests/dht_routing.rs`).
-
-use std::collections::HashMap;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use cs_sim::SimRng;
 
-use crate::id::{DhtId, IdSpace};
+use crate::id::{DhtId, IdMap, IdSpace};
 use crate::peers::{DhtPeerTable, NO_SLOT};
 use crate::placement::ResponsibilityRange;
 
@@ -87,7 +87,7 @@ pub struct DhtNetwork {
     /// Vacant slot indices, reused LIFO by `join`.
     free: Vec<u32>,
     /// The boundary map: live id → occupied slot.
-    by_id: HashMap<DhtId, u32>,
+    by_id: IdMap<DhtId, u32>,
     /// Live ids in ring (ascending) order; binary-searched by the
     /// ring-geometry queries and indexed directly by `random_id`.
     ring: Vec<DhtId>,
@@ -100,7 +100,7 @@ impl DhtNetwork {
             space,
             slots: Vec::new(),
             free: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: IdMap::default(),
             ring: Vec::new(),
         }
     }

@@ -17,11 +17,10 @@
 //! *unfaithful* transport (loss, late delivery, corruption) surfaces
 //! as divergence counters here and as decision-log drift there.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cs_core::{SegmentId, SystemSim, TwinAnnounce, TwinViews};
-use cs_dht::DhtId;
+use cs_dht::{DhtId, IdMap};
 use cs_net::LinkCatalog;
 use cs_obs::ObsConfig;
 use cs_scenario::{MetricsLog, ScenarioEngine, ScenarioOutcome, ScenarioSpec};
@@ -184,6 +183,9 @@ pub fn drive_twin_over<T: Transport>(
     // BTreeMap: `node_stats` comes out ascending by id without a sort.
     let mut totals: std::collections::BTreeMap<DhtId, TwinNodeStats> =
         std::collections::BTreeMap::new();
+    // Id → position in this round's `nodes`; cleared and refilled each
+    // round, so its table is allocated once.
+    let mut index_of: IdMap<DhtId, usize> = IdMap::default();
 
     // Same loop contract as `cs_scenario`'s driver: scenario events
     // land before the round they target, and the engine's stats feed
@@ -212,8 +214,8 @@ pub fn drive_twin_over<T: Transport>(
                 neighbors: w.neighbors.to_vec(),
             });
         });
-        let index_of: HashMap<DhtId, usize> =
-            nodes.iter().enumerate().map(|(k, n)| (n.id, k)).collect();
+        index_of.clear();
+        index_of.extend(nodes.iter().enumerate().map(|(k, n)| (n.id, k)));
 
         // 2. Each node task builds its announcement and addresses it
         // to itself (loopback) and every connected neighbour.

@@ -595,6 +595,71 @@ fn active_set_plans_joiners_reusing_a_slot_same_round() {
     }
 }
 
+/// The arena's slot-indexed ping column follows slot reuse: a leave
+/// frees a slot, the next join (LIFO free list) moves into it with a
+/// different ping, and the boundary lookup must then return the new
+/// occupant's ping while the departed id falls back to the 50 ms
+/// default. `debug_check_scratch` asserts the column against every live
+/// occupant after every round.
+#[test]
+fn ping_column_follows_slot_reuse() {
+    let config = SystemConfig {
+        nodes: 60,
+        rounds: 30,
+        startup_segments: 30,
+        seed: 0x9196,
+        ..SystemConfig::default()
+    };
+    let mut sim = SystemSim::new(config);
+    let source = sim.source_id();
+    let mut reused = 0usize;
+    for round in 0..30u32 {
+        if round >= 5 && round % 4 == 1 {
+            let victims: Vec<_> = sim
+                .alive_ids()
+                .iter()
+                .copied()
+                .filter(|&id| id != source)
+                .collect();
+            let victim = victims[round as usize % victims.len()];
+            let old_ping = sim.debug_ping_of_id(victim);
+            let old_slot = sim.debug_slot_of(victim).expect("victim is alive");
+            // A ping no trace-drawn node has, and never the 50 ms default.
+            let new_ping = 321.5 + round as f64;
+            assert_ne!(old_ping, new_ping);
+            let left = sim.apply_event(SystemEvent::Leave {
+                id: victim,
+                graceful: round % 2 == 0,
+            });
+            assert_eq!(left, EventOutcome::Applied);
+            let joined = sim.apply_event(SystemEvent::Join {
+                ping_ms: Some(new_ping),
+                bandwidth: None,
+            });
+            let EventOutcome::Joined(new_id) = joined else {
+                panic!("round {round}: join rejected ({joined:?})");
+            };
+            assert_eq!(
+                sim.debug_slot_of(new_id),
+                Some(old_slot),
+                "round {round}: the joiner must reuse the freed slot"
+            );
+            assert_eq!(sim.debug_ping_of_id(new_id), new_ping);
+            if new_id != victim {
+                assert_eq!(
+                    sim.debug_ping_of_id(victim),
+                    50.0,
+                    "round {round}: a departed id must fall back to the default ping"
+                );
+            }
+            reused += 1;
+        }
+        sim.debug_step(round);
+        sim.debug_check_scratch();
+    }
+    assert!(reused >= 5, "the script must churn slots (got {reused})");
+}
+
 /// Recovery plane: the deterministic (jitter-free) retry backoff is
 /// monotone non-decreasing in the attempt number and never below the
 /// configured base, for arbitrary knob draws.
